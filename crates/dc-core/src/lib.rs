@@ -38,13 +38,19 @@
 //!    engine with `dc-storage`'s write-ahead log and snapshot subsystem:
 //!    rounds are logged before they are applied, checkpoints bound recovery
 //!    replay, and a recovered instance is bit-identical to a never-restarted
-//!    one.
+//!    one.  It is also the durable shard type: inside a sharded engine its
+//!    WAL frames are staged and sealed by the sharded commit step.
 //! 6. **Sharded serving** ([`shard`]).  The [`ShardedEngine`] partitions
 //!    the live objects across N independent engines by their blocking keys
 //!    (`dc_similarity::ShardRouter`) and serves each round's sub-batches in
-//!    parallel on a scoped-thread pool; [`ShardedDurableEngine`] adds one
-//!    WAL + snapshot directory per shard with min-committed-round crash
-//!    recovery.  One shard is bit-identical to the unsharded engine.
+//!    parallel on a scoped-thread pool.  [`ShardedDurableEngine`] is the
+//!    same struct over [`DurableEngine`] shards, with one WAL + snapshot
+//!    directory per shard and the refinement layer's log beside them.  One
+//!    commit step (route, stage every shard's WAL frame, seal with one
+//!    group fsync or N+1 classic fsyncs) and one checkpoint serve both
+//!    synchronous `apply_round` and the [`pipeline`] coordinator, which
+//!    borrows the engine's refiner while it serves.  One shard is
+//!    bit-identical to the unsharded engine.
 //! 7. **Cross-shard refinement** ([`refine`]).  After the parallel per-shard
 //!    rounds, a deterministic boundary pass recovers the cross-shard
 //!    similarity edges the partition dropped and repairs the merged

@@ -1,9 +1,10 @@
 //! Pipelined ingestion front-end: adaptive batching, cross-shard group
 //! commit, and apply/refine overlap over a [`ShardedDurableEngine`].
 //!
-//! The synchronous sharded round is a strict sequence — route → log (one
-//! fsync **per shard** plus one for the refine WAL) → apply → refine — so
-//! op latency is gated by the slowest phase and every round pays N+1 fsyncs.
+//! The synchronous sharded round is a strict sequence — route → commit
+//! (classically one fsync **per shard** plus one for the refine WAL) →
+//! apply → refine — so op latency is gated by the slowest phase and every
+//! classic round pays N+1 fsyncs.
 //! This module turns that loop into a three-stage pipeline:
 //!
 //! 1. **Admission.**  Callers [`PipelinedEngine::submit`] single operations
@@ -12,14 +13,16 @@
 //!    backpressure is the protocol; nothing is ever dropped or reordered.
 //! 2. **Batch formation + group commit.**  A coordinator thread drains the
 //!    queue into rounds sized by an [`AdaptiveBatcher`] (grow while commit
-//!    latency is under target, shrink when over), routes each round, then
-//!    **stages** every shard's WAL append and the refine WAL's full-batch
-//!    append without fsync and commits the whole round with **one** fsync
-//!    of the refine WAL — the group-commit log.  The commit rule is
-//!    unchanged: a round is acknowledged only once a WAL durably holds it;
-//!    because the refine WAL holds the *full* batch, recovery re-derives
-//!    (heals) any shard WAL tail the crash cut off.  With one shard there
-//!    is no refine WAL and the single fsync lands on the shard's own WAL.
+//!    latency is under target, shrink when over) and commits each round
+//!    through the engine's own commit step — the one a synchronous
+//!    group-committed [`ShardedDurableEngine::apply_round`] uses: route,
+//!    **stage** every shard's WAL append and the refine WAL's full-batch
+//!    append without fsync, and seal the round with **one** fsync of the
+//!    refine WAL — the group-commit log.  The commit rule is unchanged: a
+//!    round is acknowledged only once a WAL durably holds it; because the
+//!    refine WAL holds the *full* batch, recovery re-derives (heals) any
+//!    shard WAL tail the crash cut off.  With one shard there is no refine
+//!    WAL and the single fsync lands on the shard's own WAL.
 //! 3. **Apply/refine overlap.**  After the commit fsync the round is handed
 //!    to a refine worker thread through a second bounded channel (capacity
 //!    = the in-flight window), then the shards apply it in parallel on the
@@ -28,10 +31,15 @@
 //!    coordinator (`pipeline.overlap_stall`), bounding how far the refined
 //!    view may trail the shards.
 //!
-//! Refinement uses [`CrossShardRefiner::replay_round`] — the reuse-free
-//! path that recomputes every cross-shard pair against the mirror's own
-//! records — so the worker needs no access to the shard engines at all,
-//! and its result is bit-identical to the synchronous engine's.  The
+//! The coordinator serves the [`ShardedDurableEngine`] itself:
+//! [`PipelinedEngine::start`] lends the engine's refiner to
+//! the refine worker, checkpoints run the engine's own checkpoint with the
+//! lent refiner once the worker has caught up, and
+//! [`PipelinedEngine::close`] gives the refiner back.  Refinement uses
+//! [`CrossShardRefiner::replay_round`] — the reuse-free path that
+//! recomputes every cross-shard pair against the mirror's own records — so
+//! the worker needs no access to the shard engines at all, and its result
+//! is bit-identical to the synchronous engine's.  The
 //! headline invariant, pinned by `tests/pipeline_equivalence.rs`: after
 //! [`PipelinedEngine::close`], the clustering, the refined clustering, and
 //! the recovered-after-crash state are all bit-identical to a synchronous
@@ -46,11 +54,9 @@
 //! first, on [`PipelinedEngine::close`].
 
 use crate::refine::CrossShardRefiner;
-use crate::shard::{
-    parallel_shard_rounds, record_batch_imbalance, DurableRefine, PipelineParts,
-    ShardedDurableEngine,
-};
-use dc_storage::{Snapshotter, StorageError, Wal};
+use crate::shard::{Seal, ShardedDurableEngine};
+use crate::DurableEngine;
+use dc_storage::StorageError;
 use dc_telemetry::{clock, Span};
 use dc_types::{Operation, OperationBatch};
 use std::collections::VecDeque;
@@ -542,24 +548,20 @@ impl Progress {
 
 /// Everything the coordinator thread hands back when it exits.
 struct CoordinatorExit {
-    parts: PipelineParts,
-    refine_wal: Option<Wal>,
-    snapshotter: Option<Snapshotter>,
+    engine: ShardedDurableEngine,
     error: Option<StorageError>,
     report: PipelineReport,
     telemetry: dc_telemetry::ThreadDelta,
 }
 
-/// The coordinator thread's working set: the engine parts it owns while
-/// serving, plus its ends of the two channels.
+/// The coordinator thread's working set: the engine it serves (its refiner
+/// lent to the refine worker), plus its ends of the two channels.
 struct Coordinator {
-    parts: PipelineParts,
+    engine: ShardedDurableEngine,
     options: PipelineOptions,
     admit_rx: BoundedReceiver<Admit>,
     refine_tx: Option<BoundedSender<(OperationBatch, Vec<usize>)>>,
     refiner: Option<Arc<Mutex<CrossShardRefiner>>>,
-    refine_wal: Option<Wal>,
-    snapshotter: Option<Snapshotter>,
     progress: Arc<Progress>,
     abort: Arc<AtomicBool>,
 }
@@ -622,9 +624,7 @@ impl Coordinator {
             }
         }
         CoordinatorExit {
-            parts: self.parts,
-            refine_wal: self.refine_wal,
-            snapshotter: self.snapshotter,
+            engine: self.engine,
             error,
             report,
             telemetry: dc_telemetry::registry().drain(),
@@ -643,31 +643,9 @@ impl Coordinator {
     ) -> Result<(), StorageError> {
         let reg = dc_telemetry::registry();
         let ops = batch.len();
-
-        let span = reg.span("round.route");
-        let routed = self
-            .parts
-            .router
-            .route_batch(&batch, &mut self.parts.assignment);
-        span.finish();
-        record_batch_imbalance(&routed.sub_batches);
-
-        // Group commit: stage all shard appends, seal with one fsync of the
-        // group-commit log (the refine WAL; the lone shard's WAL at N=1).
-        let round = self.parts.rounds_served as u64 + 1;
-        let commit_span = reg.span("pipeline.group_commit");
-        for (shard, sub) in self.parts.shards.iter_mut().zip(&routed.sub_batches) {
-            let logged = shard.log_round_nosync(sub)?;
-            debug_assert_eq!(logged, round, "shards advance in lock-step");
-        }
-        match self.refine_wal.as_mut() {
-            Some(wal) => {
-                wal.append_round_nosync(round, &batch)?;
-                wal.sync()?;
-            }
-            None => self.parts.shards[0].wal_sync()?,
-        }
-        let commit_ns = commit_span.finish_ns();
+        let (routed, commit_ns) = self
+            .engine
+            .commit_round(&batch, Seal::Group("pipeline.group_commit"))?;
 
         // The round is durable: acknowledge it before any in-memory work,
         // so flush barriers and latency spans see commit time.  Finishing
@@ -708,28 +686,18 @@ impl Coordinator {
             span.finish();
         }
 
-        let span = reg.span("round.shard_apply");
-        let _reports = parallel_shard_rounds(
-            &mut self.parts.shards,
-            &routed.sub_batches,
-            self.parts.max_threads,
-            |shard, sub| shard.apply_logged(sub),
-        );
-        span.finish();
-        self.parts.rounds_served += 1;
+        self.engine
+            .apply_shards(&routed, DurableEngine::apply_logged);
         batcher.observe(ops, commit_ns);
 
-        let every = self.parts.options.checkpoint_every_rounds as u64;
-        if every > 0
-            && (self.parts.rounds_served as u64).is_multiple_of(every)
-            && !self.abort.load(Ordering::Relaxed)
-        {
+        if self.engine.checkpoint_due() && !self.abort.load(Ordering::Relaxed) {
             // A checkpoint snapshots the refiner, so the refined view must
             // first catch up with every committed round.
             self.wait_refined();
             if !self.abort.load(Ordering::Relaxed) {
+                let refiner = self.refiner.as_deref().map(lock_unpoisoned);
                 let span = reg.span("round.checkpoint");
-                self.checkpoint()?;
+                self.engine.checkpoint_with(refiner.as_deref())?;
                 span.finish();
             }
         }
@@ -742,30 +710,6 @@ impl Coordinator {
         while state.refined_rounds < state.committed_rounds {
             state = wait_unpoisoned(&self.progress.cond, state);
         }
-    }
-
-    /// Checkpoint every shard, then the refinement layer — the same order
-    /// and effect as [`ShardedDurableEngine::checkpoint`].
-    fn checkpoint(&mut self) -> Result<u64, StorageError> {
-        for shard in &mut self.parts.shards {
-            shard.checkpoint()?;
-        }
-        let round = self.parts.rounds_served as u64;
-        if let (Some(wal), Some(snapshotter), Some(refiner)) = (
-            self.refine_wal.as_mut(),
-            self.snapshotter.as_mut(),
-            self.refiner.as_ref(),
-        ) {
-            {
-                let refiner = lock_unpoisoned(refiner);
-                snapshotter.write(round, &refiner.snapshot_ref())?;
-            }
-            if wal.start_round() != round {
-                *wal = Wal::create(snapshotter.dir(), round)?;
-            }
-            snapshotter.prune_obsolete(round)?;
-        }
-        Ok(round)
     }
 }
 
@@ -802,24 +746,16 @@ pub struct PipelinedEngine {
 impl PipelinedEngine {
     /// Take ownership of an open [`ShardedDurableEngine`] and start serving
     /// its operation stream through the pipeline.
-    pub fn start(engine: ShardedDurableEngine, options: PipelineOptions) -> Self {
-        let mut parts = engine.into_pipeline_parts();
+    pub fn start(mut engine: ShardedDurableEngine, options: PipelineOptions) -> Self {
         let progress = Arc::new(Progress::new());
         let abort = Arc::new(AtomicBool::new(false));
         let enabled = dc_telemetry::registry().is_enabled();
 
         let (admit_tx, admit_rx) = bounded_channel::<Admit>(options.queue_capacity);
 
-        // Split the refine plumbing: the coordinator keeps the WAL and
-        // snapshotter; the worker (and checkpoints) share the refiner.
-        let (refiner, refine_wal, snapshotter) = match parts.refine.take() {
-            Some(refine) => (
-                Some(Arc::new(Mutex::new(refine.refiner))),
-                Some(refine.wal),
-                Some(refine.snapshotter),
-            ),
-            None => (None, None, None),
-        };
+        // Lend the refiner to the refine worker (checkpoints borrow it
+        // back under the lock); `close` returns it to the engine.
+        let refiner = engine.refiner.take().map(|r| Arc::new(Mutex::new(r)));
 
         // Refine worker: folds committed rounds into the shared refiner
         // using shard 0's pass configuration (all shards carry an identical
@@ -830,10 +766,10 @@ impl PipelinedEngine {
                     options.max_inflight_refine_rounds.max(1),
                 );
                 let refiner = Arc::clone(refiner);
-                let dynamicc = parts.shards[0].engine().dynamicc().clone();
+                let dynamicc = engine.shards()[0].engine().dynamicc().clone();
                 let progress = Arc::clone(&progress);
                 let abort = Arc::clone(&abort);
-                let max_threads = parts.max_threads;
+                let max_threads = engine.max_threads();
                 let handle = std::thread::spawn(move || {
                     let reg = dc_telemetry::registry();
                     reg.set_enabled(enabled);
@@ -861,13 +797,11 @@ impl PipelinedEngine {
 
         let coordinator = {
             let coordinator = Coordinator {
-                parts,
+                engine,
                 options,
                 admit_rx,
                 refine_tx,
                 refiner: refiner.clone(),
-                refine_wal,
-                snapshotter,
                 progress: Arc::clone(&progress),
                 abort: Arc::clone(&abort),
             };
@@ -963,37 +897,16 @@ impl PipelinedEngine {
         if let Some(error) = exit.error.take() {
             return Err(PipelineError::Storage(error));
         }
-        let refine = match self.refiner.take() {
-            Some(refiner) => {
-                // Both workers are joined, so this Arc is the last one; a
-                // still-shared refiner means a worker leaked its clone.
-                let refiner = Arc::try_unwrap(refiner)
-                    .map_err(|_| PipelineError::WorkerPanicked("refine worker"))?
-                    .into_inner()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let (Some(wal), Some(snapshotter)) =
-                    (exit.refine_wal.take(), exit.snapshotter.take())
-                else {
-                    // The WAL and snapshotter ride with the refiner; losing
-                    // them means the coordinator exited mid-teardown.
-                    return Err(PipelineError::Storage(StorageError::Inconsistent(
-                        "pipeline closed without its refine WAL and snapshotter".into(),
-                    )));
-                };
-                Some(DurableRefine {
-                    refiner,
-                    wal,
-                    snapshotter,
-                })
-            }
-            None => None,
-        };
-        let mut parts = exit.parts;
-        parts.refine = refine;
-        Ok((
-            ShardedDurableEngine::from_pipeline_parts(parts),
-            exit.report,
-        ))
+        if let Some(refiner) = self.refiner.take() {
+            // Both workers are joined, so this Arc is the last one; a
+            // still-shared refiner means a worker leaked its clone.
+            let refiner = Arc::try_unwrap(refiner)
+                .map_err(|_| PipelineError::WorkerPanicked("refine worker"))?
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner);
+            exit.engine.refiner = Some(refiner);
+        }
+        Ok((exit.engine, exit.report))
     }
 
     /// Abandon the pipeline without draining: queued and in-flight work is

@@ -40,17 +40,20 @@
 //!
 //! ## Durable sharding
 //!
-//! [`ShardedDurableEngine`] gives every shard its own WAL + snapshot
-//! directory (`shard-000/`, `shard-001/`, …) wrapped in a [`DurableEngine`].
-//! A round is durable once *every* shard has logged its sub-batch, so the
-//! globally committed round is the **minimum** over the shards' recoverable
-//! rounds.  Recovery peeks that minimum first, then reopens each shard
-//! capped at it — shards that logged a never-acknowledged round (a crash
-//! mid-distribution, or a torn tail in one shard) are physically rolled
-//! back, keeping all shards bit-identical to a never-restarted sharded run.
-//! Checkpoints are driven globally (after a round has completed on every
-//! shard), never by the shards themselves, so no snapshot can ever get ahead
-//! of the committed round.
+//! [`ShardedDurableEngine`] is the same [`ShardedEngine`] struct over
+//! [`DurableEngine`] shards, each with its own WAL + snapshot directory
+//! (`shard-000/`, `shard-001/`, …).  Every durable round — synchronous or
+//! pipelined — goes through one commit step
+//! (`commit_round`): route, stage every shard's
+//! sub-batch frame, then seal with N shard fsyncs plus the refine WAL's
+//! full-batch append (classic) or with one group fsync.  The refine WAL is
+//! the commit point, so recovery reopens each shard capped at its round —
+//! shards that logged a never-acknowledged round are physically rolled
+//! back, shards that fell short are healed from the refine WAL — keeping
+//! all shards bit-identical to a never-restarted sharded run.  Checkpoints
+//! have one path too, driven globally (after a round has completed on
+//! every shard), never by the shards themselves, so no snapshot can ever
+//! get ahead of the committed round.
 
 use crate::config::DynamicCStats;
 use crate::durable::{DurabilityOptions, RecoveryReport};
@@ -59,7 +62,7 @@ use crate::engine::{Engine, RoundReport};
 use crate::refine::{CrossShardRefiner, RefineReport, RefineState};
 use crate::DurableEngine;
 use dc_similarity::persist::GraphState;
-use dc_similarity::{GraphConfig, ShardRouter, SimilarityGraph};
+use dc_similarity::{GraphConfig, RoutedBatch, ShardRouter, SimilarityGraph};
 use dc_storage::wal::list_segments;
 use dc_storage::{Snapshotter, StorageError, Wal};
 use dc_types::{shard_id_base, Clustering, ObjectId, OperationBatch, MAX_SHARDS};
@@ -494,18 +497,212 @@ pub(crate) fn merge_round_reports(
     }
 }
 
-/// N independent [`Engine`] shards served in parallel behind one facade,
-/// with a cross-shard refinement pass closing the partition's quality gap
-/// after every round (see [`crate::refine`]).
-pub struct ShardedEngine {
-    shards: Vec<Engine>,
+/// N shards served in parallel behind one facade, with a cross-shard
+/// refinement pass closing the partition's quality gap after every round
+/// (see [`crate::refine`]).
+///
+/// One struct serves both modes.  `S` is the shard type and `L` the
+/// durable-only state kept beside the shards:
+///
+/// * `ShardedEngine` (`S = Engine`, `L = ()`) serves in-memory shards;
+/// * [`ShardedDurableEngine`] (`S = DurableEngine`, `L = CommitLog`) gives
+///   every shard its own WAL + snapshot directory and commits and
+///   checkpoints rounds globally.
+///
+/// The router, the object assignment, the round counter, the thread cap,
+/// the refiner and every read accessor are shared by both.
+pub struct ShardedEngine<S = Engine, L = ()> {
+    shards: Vec<S>,
     router: ShardRouter,
     assignment: BTreeMap<ObjectId, usize>,
     rounds_served: usize,
     max_threads: usize,
-    /// `None` with one shard: the partition is the identity and there is
-    /// nothing to refine.
-    refiner: Option<CrossShardRefiner>,
+    /// `None` with one shard (the partition is the identity and there is
+    /// nothing to refine) and in raw mode.  While a
+    /// [`crate::PipelinedEngine`] serves the engine, the refiner is lent to
+    /// its refine worker, and `close` gives it back.
+    pub(crate) refiner: Option<CrossShardRefiner>,
+    log: L,
+}
+
+/// The shard types a [`ShardedEngine`] serves: each is, or wraps, one
+/// [`Engine`].
+impl AsRef<Engine> for Engine {
+    fn as_ref(&self) -> &Engine {
+        self
+    }
+}
+
+impl AsRef<Engine> for DurableEngine {
+    fn as_ref(&self) -> &Engine {
+        self.engine()
+    }
+}
+
+impl<S: AsRef<Engine> + Send, L> ShardedEngine<S, L> {
+    /// Cap the number of worker threads a round fans out to (default: one
+    /// per shard).  Thread count never changes results — shards are
+    /// independent — only wall-clock.
+    pub fn with_max_threads(mut self, max_threads: usize) -> Self {
+        self.max_threads = max_threads.max(1);
+        self
+    }
+
+    /// Split the batch into per-shard sub-batches with the sticky router
+    /// (`round.route`) and record the split's imbalance gauges.
+    fn route(&mut self, batch: &OperationBatch) -> RoutedBatch {
+        let span = dc_telemetry::registry().span("round.route");
+        let routed = self.router.route_batch(batch, &mut self.assignment);
+        span.finish();
+        record_batch_imbalance(&routed.sub_batches);
+        routed
+    }
+
+    /// Run `apply` over every shard's sub-batch in parallel
+    /// (`round.shard_apply`) and count the round as served.
+    pub(crate) fn apply_shards(
+        &mut self,
+        routed: &RoutedBatch,
+        apply: impl Fn(&mut S, &OperationBatch) -> RoundReport + Sync,
+    ) -> Vec<RoundReport> {
+        let span = dc_telemetry::registry().span("round.shard_apply");
+        let reports = parallel_shard_rounds(
+            &mut self.shards,
+            &routed.sub_batches,
+            self.max_threads,
+            apply,
+        );
+        span.finish();
+        self.rounds_served += 1;
+        reports
+    }
+
+    /// Run the cross-shard refinement pass over the round (`round.refine`),
+    /// reusing the shard engines' similarity work; `None` without a
+    /// refiner.
+    fn refine_round(
+        &mut self,
+        batch: &OperationBatch,
+        routed: &RoutedBatch,
+    ) -> Option<RefineReport> {
+        let refiner = self.refiner.as_mut()?;
+        let span = dc_telemetry::registry().span("round.refine");
+        let engines: Vec<&Engine> = self.shards.iter().map(AsRef::as_ref).collect();
+        let report = refiner.apply_round(batch, &routed.op_shards, &engines, self.max_threads);
+        span.finish();
+        Some(report)
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The per-shard engines, in shard order.
+    pub fn shards(&self) -> &[S] {
+        &self.shards
+    }
+
+    /// The router in use.
+    pub fn router(&self) -> &ShardRouter {
+        &self.router
+    }
+
+    /// Rounds served so far — for a durable engine, across its whole
+    /// (possibly multi-process) lifetime.
+    pub fn rounds_served(&self) -> usize {
+        self.rounds_served
+    }
+
+    /// The thread cap a round fans out to.
+    pub(crate) fn max_threads(&self) -> usize {
+        self.max_threads
+    }
+
+    /// The shard currently owning `id`, if the object is live.
+    pub fn shard_of(&self, id: ObjectId) -> Option<usize> {
+        self.assignment.get(&id).copied()
+    }
+
+    /// Live objects across all shards.
+    pub fn object_count(&self) -> usize {
+        self.assignment.len()
+    }
+
+    /// Cross-shard similarity edges currently missing from the per-shard
+    /// graphs and **recovered** by the refinement pass — exact across
+    /// rounds (and restarts): the counter grows when a served round
+    /// introduces a cross-shard edge and shrinks when one endpoint is
+    /// removed or updated apart.  (Before refinement existed this was the
+    /// `cross_shard_edges_dropped` loss, counted at the initial partition
+    /// only.)  Always 0 with one shard.
+    pub fn cross_shard_edges_recovered(&self) -> usize {
+        self.refiner
+            .as_ref()
+            .map_or(0, CrossShardRefiner::cross_edges_recovered)
+    }
+
+    /// The report of the most recent refinement pass (the initial repair
+    /// right after construction, then one per served round); `None` with one
+    /// shard.
+    pub fn last_refine_report(&self) -> Option<RefineReport> {
+        self.refiner.as_ref().map(CrossShardRefiner::last_report)
+    }
+
+    /// The global [`DynamicCStats`]: the field-wise sum of the per-shard
+    /// statistics.  (The refinement pass keeps its own counters in
+    /// [`RefineReport`]; it never touches the per-shard statistics.)
+    pub fn stats(&self) -> DynamicCStats {
+        DynamicCStats::merged(self.shards.iter().map(|s| *s.as_ref().stats()))
+    }
+
+    /// Total pairwise similarity computations: the per-shard graphs' sum
+    /// plus the cross-shard boundary pairs computed by the refinement pass.
+    /// For a durable engine the cross-shard component counts work *since
+    /// this open* (recovery rebuilds the derived cross-shard index, and that
+    /// rebuild is the work the process performed); the per-shard component
+    /// is durable and restart-exact — see
+    /// [`ShardedEngine::shard_comparisons`].
+    pub fn comparisons(&self) -> u64 {
+        self.shard_comparisons()
+            + self
+                .refiner
+                .as_ref()
+                .map_or(0, CrossShardRefiner::cross_comparisons)
+    }
+
+    /// Pairwise similarity computations performed by the per-shard graphs
+    /// alone (excluding the refinement pass's cross-shard boundary pairs).
+    /// This component is durable per shard, so it is bit-identical across
+    /// restarts of a [`ShardedDurableEngine`].
+    pub fn shard_comparisons(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.as_ref().graph().comparisons())
+            .sum()
+    }
+
+    /// The merged global clustering: the union of the per-shard clusterings
+    /// under their disjoint id namespaces, with the watermark at the maximum
+    /// of the per-shard watermarks.  This is the *pre-refinement* view; see
+    /// [`ShardedEngine::refined_clustering`] for the repaired one.
+    pub fn merged_clustering(&self) -> Clustering {
+        merge_clusterings(self.shards.iter().map(|s| s.as_ref().clustering()))
+    }
+
+    /// The refined global clustering: the merged per-shard clusterings with
+    /// the cross-shard repair applied (recovered edges made visible, then
+    /// the trained merge/split passes run globally).  With one shard this is
+    /// exactly [`ShardedEngine::merged_clustering`].  Recomputed after every
+    /// round, and bit-identical across restarts of a durable engine;
+    /// repair-created clusters carry ids from the reserved refine namespace,
+    /// so the result must not seed a new multi-shard partition.
+    pub fn refined_clustering(&self) -> Clustering {
+        match &self.refiner {
+            Some(refiner) => refiner.refined().clone(),
+            None => self.merged_clustering(),
+        }
+    }
 }
 
 impl ShardedEngine {
@@ -585,15 +782,8 @@ impl ShardedEngine {
             rounds_served: 0,
             max_threads: n,
             refiner,
+            log: (),
         })
-    }
-
-    /// Cap the number of worker threads a round fans out to (default: one
-    /// per shard).  Thread count never changes results — shards are
-    /// independent — only wall-clock.
-    pub fn with_max_threads(mut self, max_threads: usize) -> Self {
-        self.max_threads = max_threads.max(1);
-        self
     }
 
     /// Serve one round: split the batch into per-shard sub-batches with the
@@ -606,83 +796,16 @@ impl ShardedEngine {
     ///
     /// Telemetry: the round is bracketed by a `round.total` span whose
     /// coordinating-thread phases are `round.route`, `round.shard_apply`,
-    /// and `round.refine`; per-shard wall time (`shard.apply`) merges back
-    /// from the workers, and the batch-imbalance gauges record how skewed
-    /// the router's split was this round.
+    /// and `round.refine` (with more than one shard); per-shard wall time
+    /// (`shard.apply`) merges back from the workers, and the batch-imbalance
+    /// gauges record how skewed the router's split was this round.
     pub fn apply_round(&mut self, batch: &OperationBatch) -> ShardedRoundReport {
-        let reg = dc_telemetry::registry();
-        let round_span = reg.span("round.total");
-        let span = reg.span("round.route");
-        let routed = self.router.route_batch(batch, &mut self.assignment);
-        span.finish();
-        record_batch_imbalance(&routed.sub_batches);
-        let span = reg.span("round.shard_apply");
-        let reports = parallel_shard_rounds(
-            &mut self.shards,
-            &routed.sub_batches,
-            self.max_threads,
-            |engine, sub| engine.apply_round(sub),
-        );
-        span.finish();
-        let span = reg.span("round.refine");
-        let refine = self.refiner.as_mut().map(|refiner| {
-            let engines: Vec<&Engine> = self.shards.iter().collect();
-            refiner.apply_round(batch, &routed.op_shards, &engines, self.max_threads)
-        });
-        span.finish();
-        self.rounds_served += 1;
+        let round_span = dc_telemetry::registry().span("round.total");
+        let routed = self.route(batch);
+        let reports = self.apply_shards(&routed, Engine::apply_round);
+        let refine = self.refine_round(batch, &routed);
         round_span.finish();
         merge_round_reports(self.rounds_served, reports, refine)
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The per-shard engines, in shard order.
-    pub fn shards(&self) -> &[Engine] {
-        &self.shards
-    }
-
-    /// The router in use.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// Rounds served so far.
-    pub fn rounds_served(&self) -> usize {
-        self.rounds_served
-    }
-
-    /// The shard currently owning `id`, if the object is live.
-    pub fn shard_of(&self, id: ObjectId) -> Option<usize> {
-        self.assignment.get(&id).copied()
-    }
-
-    /// Live objects across all shards.
-    pub fn object_count(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Cross-shard similarity edges currently missing from the per-shard
-    /// graphs and **recovered** by the refinement pass — exact across
-    /// rounds: the counter grows when a served round introduces a
-    /// cross-shard edge and shrinks when one endpoint is removed or updated
-    /// apart.  (Before refinement existed this was the
-    /// `cross_shard_edges_dropped` loss, counted at the initial partition
-    /// only.)  Always 0 with one shard.
-    pub fn cross_shard_edges_recovered(&self) -> usize {
-        self.refiner
-            .as_ref()
-            .map_or(0, CrossShardRefiner::cross_edges_recovered)
-    }
-
-    /// The report of the most recent refinement pass (the initial repair
-    /// right after construction, then one per served round); `None` with one
-    /// shard.
-    pub fn last_refine_report(&self) -> Option<RefineReport> {
-        self.refiner.as_ref().map(CrossShardRefiner::last_report)
     }
 
     /// Diagnostic mode: make the refinement pass re-run the full global
@@ -697,61 +820,16 @@ impl ShardedEngine {
             refiner.set_full_repair(full_repair);
         }
     }
-
-    /// The global [`DynamicCStats`]: the field-wise sum of the per-shard
-    /// statistics.  (The refinement pass keeps its own counters in
-    /// [`RefineReport`]; it never touches the per-shard statistics.)
-    pub fn stats(&self) -> DynamicCStats {
-        DynamicCStats::merged(self.shards.iter().map(|s| *s.stats()))
-    }
-
-    /// Total pairwise similarity computations: the per-shard graphs' sum
-    /// plus the cross-shard boundary pairs computed by the refinement pass.
-    pub fn comparisons(&self) -> u64 {
-        self.shard_comparisons()
-            + self
-                .refiner
-                .as_ref()
-                .map_or(0, CrossShardRefiner::cross_comparisons)
-    }
-
-    /// Pairwise similarity computations performed by the per-shard graphs
-    /// alone (excluding the refinement pass's cross-shard boundary pairs).
-    /// This component is durable per shard, so it is bit-identical across
-    /// restarts of a [`ShardedDurableEngine`].
-    pub fn shard_comparisons(&self) -> u64 {
-        self.shards.iter().map(|s| s.graph().comparisons()).sum()
-    }
-
-    /// The merged global clustering: the union of the per-shard clusterings
-    /// under their disjoint id namespaces, with the watermark at the maximum
-    /// of the per-shard watermarks.  This is the *pre-refinement* view; see
-    /// [`ShardedEngine::refined_clustering`] for the repaired one.
-    pub fn merged_clustering(&self) -> Clustering {
-        merge_clusterings(self.shards.iter().map(|s| s.clustering()))
-    }
-
-    /// The refined global clustering: the merged per-shard clusterings with
-    /// the cross-shard repair applied (recovered edges made visible, then
-    /// the trained merge/split passes run globally).  With one shard this is
-    /// exactly [`ShardedEngine::merged_clustering`].  Recomputed after every
-    /// round; repair-created clusters carry ids from the reserved refine
-    /// namespace, so the result must not seed a new multi-shard partition.
-    pub fn refined_clustering(&self) -> Clustering {
-        match &self.refiner {
-            Some(refiner) => refiner.refined().clone(),
-            None => self.merged_clustering(),
-        }
-    }
 }
 
-impl std::fmt::Debug for ShardedEngine {
+impl<S, L: std::fmt::Debug> std::fmt::Debug for ShardedEngine<S, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngine")
             .field("shards", &self.shards.len())
             .field("objects", &self.assignment.len())
             .field("rounds_served", &self.rounds_served)
             .field("router", &self.router)
+            .field("log", &self.log)
             .finish()
     }
 }
@@ -808,36 +886,49 @@ pub struct ShardedRecoveryReport {
 }
 
 /// A crash-safe [`ShardedEngine`]: one WAL + snapshot directory per shard,
-/// globally coordinated checkpoints, and min-committed-round recovery.
-pub struct ShardedDurableEngine {
-    shards: Vec<DurableEngine>,
-    router: ShardRouter,
-    assignment: BTreeMap<ObjectId, usize>,
-    rounds_served: usize,
-    max_threads: usize,
+/// globally coordinated commits and checkpoints, and min-committed-round
+/// recovery.
+pub type ShardedDurableEngine = ShardedEngine<DurableEngine, CommitLog>;
+
+/// The durable-only state a [`ShardedDurableEngine`] keeps beside its
+/// shards: the durability policy, the root directory, and the refinement
+/// layer's `refine/` log.
+#[derive(Debug)]
+pub struct CommitLog {
     options: DurabilityOptions,
     dir: PathBuf,
-    /// The cross-shard refinement layer and its durable home (`None` with
-    /// one shard).  The refined view is history-bearing state: every round's
-    /// full batch is logged in `refine/` before the pass runs, and the view
-    /// is snapshotted at checkpoints, so recovery reloads the snapshot and
+    /// The refinement layer's durable home (`None` with one shard).  The
+    /// refined view is history-bearing state: every round's full batch is
+    /// logged in `refine/` before the pass runs, and the view is
+    /// snapshotted at checkpoints, so recovery reloads the snapshot and
     /// replays the same pass deterministically over the logged tail — see
     /// [`crate::refine`].
-    refine: Option<DurableRefine>,
+    refine: Option<RefineLog>,
 }
 
-/// The refinement layer's durable plumbing: its refiner plus the `refine/`
-/// directory's WAL and snapshotter.  The `refine/` WAL doubles as the
+/// The `refine/` directory's WAL and snapshotter.  The WAL doubles as the
 /// **group-commit log**: it holds every round's *full* batch, so in
 /// group-commit mode its single per-round fsync is the commit point from
 /// which any shard's lost (never-fsynced) sub-batch tail can be re-derived
-/// and healed on recovery.  Fields are crate-visible so the pipelined
-/// front-end ([`crate::pipeline`]) can drive the same WAL/snapshot plumbing
-/// from its coordinator thread.
-pub(crate) struct DurableRefine {
-    pub(crate) refiner: CrossShardRefiner,
-    pub(crate) wal: Wal,
-    pub(crate) snapshotter: Snapshotter,
+/// and healed on recovery.
+#[derive(Debug)]
+struct RefineLog {
+    wal: Wal,
+    snapshotter: Snapshotter,
+}
+
+/// How [`ShardedDurableEngine::commit_round`] seals a round whose shard WAL
+/// frames are staged.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Seal {
+    /// Classic commit: one fsync per shard WAL (a `round.wal_append` span
+    /// each), then the full batch appended and fsynced to the refine WAL
+    /// (`round.refine_wal_append`) — N+1 fsyncs per round.
+    PerShard,
+    /// Group commit, timed by the named span: the full batch staged on the
+    /// refine WAL and one fsync of it (of the lone shard's WAL with one
+    /// shard) seals every staged frame — one fsync per round.
+    Group(&'static str),
 }
 
 fn refine_dir(dir: &Path) -> PathBuf {
@@ -1022,8 +1113,8 @@ impl ShardedDurableEngine {
 
         let recovered = report.recovered;
         let committed_round = committed.unwrap_or(0);
-        let refine = if n > 1 {
-            Some(Self::open_refine(
+        let (refiner, refine) = if n > 1 {
+            let (refiner, refine) = Self::open_refine(
                 dir,
                 &router,
                 &graph_config,
@@ -1032,9 +1123,10 @@ impl ShardedDurableEngine {
                 recovered,
                 committed_round,
                 &mut report,
-            )?)
+            )?;
+            (Some(refiner), Some(refine))
         } else {
-            None
+            (None, None)
         };
         if report.healed_rounds > 0 {
             // Healing re-applied lost rounds to lagging shards, so the
@@ -1042,8 +1134,8 @@ impl ShardedDurableEngine {
             // healed graphs.
             assignment = derive_assignment(&shards)?;
         }
-        if let Some(refine) = &refine {
-            if recovered && refine.refiner.shard_map() != assignment {
+        if let Some(refiner) = &refiner {
+            if recovered && refiner.shard_map() != assignment {
                 return Err(StorageError::Inconsistent(
                     "replayed refine assignment disagrees with the recovered shard \
                      ownership"
@@ -1054,15 +1146,18 @@ impl ShardedDurableEngine {
 
         let rounds_served = shards[0].rounds_served();
         Ok((
-            ShardedDurableEngine {
+            ShardedEngine {
                 shards,
                 router,
                 assignment,
                 rounds_served,
                 max_threads: n,
-                options,
-                dir: dir.to_path_buf(),
-                refine,
+                refiner,
+                log: CommitLog {
+                    options,
+                    dir: dir.to_path_buf(),
+                    refine,
+                },
             },
             report,
         ))
@@ -1091,7 +1186,7 @@ impl ShardedDurableEngine {
         recovered: bool,
         committed: u64,
         report: &mut ShardedRecoveryReport,
-    ) -> Result<DurableRefine, StorageError> {
+    ) -> Result<(CrossShardRefiner, RefineLog), StorageError> {
         let refine_root = refine_dir(dir);
         let snapshotter = Snapshotter::new(&refine_root)?;
         if !recovered {
@@ -1100,11 +1195,7 @@ impl ShardedDurableEngine {
                 .map_err(|e| StorageError::Inconsistent(e.to_string()))?;
             snapshotter.write(0, &refiner.snapshot_ref())?;
             let wal = Wal::create(&refine_root, 0)?;
-            return Ok(DurableRefine {
-                refiner,
-                wal,
-                snapshotter,
-            });
+            return Ok((refiner, RefineLog { wal, snapshotter }));
         }
 
         let Some((snapshot_round, state)) = snapshotter.load_latest::<RefineState>()? else {
@@ -1204,88 +1295,42 @@ impl ShardedDurableEngine {
             }
             _ => Wal::create(&refine_root, committed)?,
         };
-        Ok(DurableRefine {
-            refiner,
-            wal,
-            snapshotter,
-        })
+        Ok((refiner, RefineLog { wal, snapshotter }))
     }
 
-    /// Cap the number of worker threads a round fans out to (default: one
-    /// per shard).
-    pub fn with_max_threads(mut self, max_threads: usize) -> Self {
-        self.max_threads = max_threads.max(1);
-        self
-    }
-
-    /// Serve one round durably: split the batch, then let every shard
-    /// log-then-apply its sub-batch in parallel.  The round is committed
-    /// once every shard has logged it; a crash that reaches only some shards
-    /// is rolled back by the next open.  Checkpoints run globally per
-    /// [`DurabilityOptions::checkpoint_every_rounds`], after the round has
+    /// Serve one round durably: route the batch, commit it (see
+    /// [`DurabilityOptions::group_commit`]), apply every shard's sub-batch
+    /// in parallel, refine, and checkpoint globally per
+    /// [`DurabilityOptions::checkpoint_every_rounds`] once the round has
     /// completed on every shard.
     ///
-    /// With [`DurabilityOptions::group_commit`] set, the round's WAL appends
-    /// are *staged* (written, not fsynced) on every shard and the full batch
-    /// staged on the refine WAL, then a **single fsync** of the refine WAL
-    /// commits the round — N+1 fsyncs per round become 1.  The commit rule
-    /// is unchanged: the refine WAL durably holds the full batch, from which
-    /// every shard's sub-batch is re-derived on recovery (shards whose
-    /// staged tails were lost are healed — see
-    /// [`ShardedRecoveryReport::healed_rounds`]).
+    /// In classic mode every shard WAL fsyncs its sub-batch and the refine
+    /// WAL's fsynced full-batch append commits the round (N+1 fsyncs).
+    /// With group commit the frames are only *staged* and a **single
+    /// fsync** of the refine WAL commits the round.  The commit rule is the
+    /// same either way: the refine WAL durably holds the full batch, from
+    /// which every shard's sub-batch is re-derived on recovery (shards
+    /// whose staged tails were lost are healed — see
+    /// [`ShardedRecoveryReport::healed_rounds`]); a crash that reaches only
+    /// some shards is rolled back by the next open.
     ///
     /// An `Err` leaves the engine in an unspecified in-memory state (some
-    /// shards may have applied the round); drop it and reopen.
+    /// shards may have logged the round); drop it and reopen.
     pub fn apply_round(
         &mut self,
         batch: &OperationBatch,
     ) -> Result<ShardedRoundReport, StorageError> {
-        if self.options.group_commit {
-            return self.apply_round_grouped(batch);
-        }
         let reg = dc_telemetry::registry();
         let round_span = reg.span("round.total");
-        let span = reg.span("round.route");
-        let routed = self.router.route_batch(batch, &mut self.assignment);
-        span.finish();
-        record_batch_imbalance(&routed.sub_batches);
-        let span = reg.span("round.shard_apply");
-        let results = parallel_shard_rounds(
-            &mut self.shards,
-            &routed.sub_batches,
-            self.max_threads,
-            |shard, sub| shard.apply_round(sub),
-        );
-        span.finish();
-        let mut reports = Vec::with_capacity(results.len());
-        for result in results {
-            reports.push(result?);
-        }
-        let round = self.rounds_served as u64 + 1;
-        let refine = match &mut self.refine {
-            Some(refine) => {
-                // Log-then-apply for the refined view: the round is only
-                // acknowledged once the refine WAL holds the full batch, so
-                // recovery can replay the same pass deterministically.
-                let span = reg.span("round.refine_wal_append");
-                refine.wal.append_round(round, batch)?;
-                span.finish();
-                let span = reg.span("round.refine");
-                let engines: Vec<&Engine> = self.shards.iter().map(DurableEngine::engine).collect();
-                let report = refine.refiner.apply_round(
-                    batch,
-                    &routed.op_shards,
-                    &engines,
-                    self.max_threads,
-                );
-                span.finish();
-                Some(report)
-            }
-            None => None,
+        let seal = if self.log.options.group_commit {
+            Seal::Group("round.group_commit")
+        } else {
+            Seal::PerShard
         };
-        self.rounds_served += 1;
-        let every = self.options.checkpoint_every_rounds as u64;
-        if every > 0 && (self.rounds_served as u64).is_multiple_of(every) {
+        let (routed, _) = self.commit_round(batch, seal)?;
+        let reports = self.apply_shards(&routed, DurableEngine::apply_logged);
+        let refine = self.refine_round(batch, &routed);
+        if self.checkpoint_due() {
             let span = reg.span("round.checkpoint");
             self.checkpoint()?;
             span.finish();
@@ -1294,71 +1339,61 @@ impl ShardedDurableEngine {
         Ok(merge_round_reports(self.rounds_served, reports, refine))
     }
 
-    /// The group-commit round: stage every shard's sub-batch append and the
-    /// refine WAL's full-batch append without fsync, commit the round with
-    /// one fsync of the refine WAL (the group-commit log), then apply in
-    /// parallel and refine as usual.  With one shard there is no refine WAL
-    /// and the single fsync lands on the shard's own WAL instead.
-    fn apply_round_grouped(
+    /// The sharded commit step, shared by [`ShardedDurableEngine::apply_round`]
+    /// and the pipelined coordinator: route the batch, stage every shard's
+    /// sub-batch frame without fsync, then seal the round per `seal`.  Once
+    /// this returns the round is durable and may be acknowledged; the
+    /// shards have not applied it yet.  Returns the routed batch and the
+    /// group-commit span's wall time (0 for [`Seal::PerShard`]).
+    pub(crate) fn commit_round(
         &mut self,
         batch: &OperationBatch,
-    ) -> Result<ShardedRoundReport, StorageError> {
+        seal: Seal,
+    ) -> Result<(RoutedBatch, u64), StorageError> {
         let reg = dc_telemetry::registry();
-        let round_span = reg.span("round.total");
-        let span = reg.span("round.route");
-        let routed = self.router.route_batch(batch, &mut self.assignment);
-        span.finish();
-        record_batch_imbalance(&routed.sub_batches);
-
+        let routed = self.route(batch);
         let round = self.rounds_served as u64 + 1;
-        let span = reg.span("round.group_commit");
+        let group_span = match seal {
+            Seal::Group(name) => Some(reg.span(name)),
+            Seal::PerShard => None,
+        };
         for (shard, sub) in self.shards.iter_mut().zip(&routed.sub_batches) {
             let logged = shard.log_round_nosync(sub)?;
             debug_assert_eq!(logged, round, "shards advance in lock-step");
         }
-        match &mut self.refine {
-            Some(refine) => {
-                refine.wal.append_round_nosync(round, batch)?;
-                refine.wal.sync()?;
+        let refine_wal = self.log.refine.as_mut().map(|r| &mut r.wal);
+        let Some(group_span) = group_span else {
+            for shard in &mut self.shards {
+                let span = reg.span("round.wal_append");
+                shard.wal_sync()?;
+                span.finish();
+            }
+            // Log-then-apply for the refined view: the round is only
+            // acknowledged once the refine WAL holds the full batch, so
+            // recovery can replay the same pass deterministically.
+            if let Some(wal) = refine_wal {
+                let span = reg.span("round.refine_wal_append");
+                wal.append_round(round, batch)?;
+                span.finish();
+            }
+            return Ok((routed, 0));
+        };
+        match refine_wal {
+            Some(wal) => {
+                wal.append_round_nosync(round, batch)?;
+                wal.sync()?;
             }
             // One shard: no refine WAL exists, so the shard's own staged
             // append is sealed directly — still exactly one fsync.
             None => self.shards[0].wal_sync()?,
         }
-        span.finish();
+        Ok((routed, group_span.finish_ns()))
+    }
 
-        let span = reg.span("round.shard_apply");
-        let reports = parallel_shard_rounds(
-            &mut self.shards,
-            &routed.sub_batches,
-            self.max_threads,
-            |shard, sub| shard.apply_logged(sub),
-        );
-        span.finish();
-        let refine = match &mut self.refine {
-            Some(refine) => {
-                let span = reg.span("round.refine");
-                let engines: Vec<&Engine> = self.shards.iter().map(DurableEngine::engine).collect();
-                let report = refine.refiner.apply_round(
-                    batch,
-                    &routed.op_shards,
-                    &engines,
-                    self.max_threads,
-                );
-                span.finish();
-                Some(report)
-            }
-            None => None,
-        };
-        self.rounds_served += 1;
-        let every = self.options.checkpoint_every_rounds as u64;
-        if every > 0 && (self.rounds_served as u64).is_multiple_of(every) {
-            let span = reg.span("round.checkpoint");
-            self.checkpoint()?;
-            span.finish();
-        }
-        round_span.finish();
-        Ok(merge_round_reports(self.rounds_served, reports, refine))
+    /// Whether the round just served is due an automatic checkpoint.
+    pub(crate) fn checkpoint_due(&self) -> bool {
+        let every = self.log.options.checkpoint_every_rounds;
+        every > 0 && self.rounds_served.is_multiple_of(every)
     }
 
     /// Checkpoint every shard now (snapshot + WAL rotation + prune per
@@ -1366,14 +1401,28 @@ impl ShardedDurableEngine {
     /// every shard's, so it can never get ahead of them).  Returns the
     /// checkpointed round.
     pub fn checkpoint(&mut self) -> Result<u64, StorageError> {
+        self.checkpoint_with(None)
+    }
+
+    /// [`ShardedDurableEngine::checkpoint`], snapshotting `lent` as the
+    /// refined view when the refiner is lent out — the pipelined
+    /// coordinator passes the refine worker's refiner once it has caught up
+    /// with every committed round.
+    pub(crate) fn checkpoint_with(
+        &mut self,
+        lent: Option<&CrossShardRefiner>,
+    ) -> Result<u64, StorageError> {
         for shard in &mut self.shards {
             shard.checkpoint()?;
         }
         let round = self.rounds_served as u64;
-        if let Some(refine) = &mut self.refine {
-            refine
-                .snapshotter
-                .write(round, &refine.refiner.snapshot_ref())?;
+        if let Some(refine) = &mut self.log.refine {
+            let refiner = lent.or(self.refiner.as_ref()).ok_or_else(|| {
+                StorageError::Inconsistent(
+                    "checkpoint of the refine log without its refiner".into(),
+                )
+            })?;
+            refine.snapshotter.write(round, &refiner.snapshot_ref())?;
             if refine.wal.start_round() != round {
                 refine.wal = Wal::create(refine.snapshotter.dir(), round)?;
             }
@@ -1382,149 +1431,9 @@ impl ShardedDurableEngine {
         Ok(round)
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The per-shard durable engines, in shard order.
-    pub fn shards(&self) -> &[DurableEngine] {
-        &self.shards
-    }
-
-    /// Rounds served across the engine's whole (possibly multi-process)
-    /// lifetime.
-    pub fn rounds_served(&self) -> usize {
-        self.rounds_served
-    }
-
     /// The state directory this engine is rooted at.
     pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The shard currently owning `id`, if the object is live.
-    pub fn shard_of(&self, id: ObjectId) -> Option<usize> {
-        self.assignment.get(&id).copied()
-    }
-
-    /// The global [`DynamicCStats`]: the field-wise sum of the per-shard
-    /// statistics.
-    pub fn stats(&self) -> DynamicCStats {
-        DynamicCStats::merged(self.shards.iter().map(|s| *s.stats()))
-    }
-
-    /// Total pairwise similarity computations: the per-shard graphs' sum
-    /// plus the cross-shard boundary pairs computed by this process's
-    /// refinement passes.  The cross-shard component counts work *since this
-    /// open* (recovery rebuilds the derived cross-shard index, and that
-    /// rebuild is the work the process performed); the per-shard component
-    /// is durable and restart-exact — see
-    /// [`ShardedDurableEngine::shard_comparisons`].
-    pub fn comparisons(&self) -> u64 {
-        self.shard_comparisons()
-            + self
-                .refine
-                .as_ref()
-                .map_or(0, |r| r.refiner.cross_comparisons())
-    }
-
-    /// Pairwise similarity computations performed by the per-shard graphs
-    /// alone — persisted in the per-shard snapshots, so bit-identical
-    /// between a restarted and a never-restarted engine.
-    pub fn shard_comparisons(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.engine().graph().comparisons())
-            .sum()
-    }
-
-    /// Cross-shard edges currently recovered by the refinement pass (see
-    /// [`ShardedEngine::cross_shard_edges_recovered`]); restart-exact.
-    pub fn cross_shard_edges_recovered(&self) -> usize {
-        self.refine
-            .as_ref()
-            .map_or(0, |r| r.refiner.cross_edges_recovered())
-    }
-
-    /// The report of the most recent refinement pass; `None` with one shard.
-    pub fn last_refine_report(&self) -> Option<RefineReport> {
-        self.refine.as_ref().map(|r| r.refiner.last_report())
-    }
-
-    /// The merged global clustering (see
-    /// [`ShardedEngine::merged_clustering`]).
-    pub fn merged_clustering(&self) -> Clustering {
-        merge_clusterings(self.shards.iter().map(|s| s.clustering()))
-    }
-
-    /// The refined global clustering (see
-    /// [`ShardedEngine::refined_clustering`]); bit-identical across
-    /// restarts because the refinement state is rebuilt from the recovered
-    /// per-shard graphs.
-    pub fn refined_clustering(&self) -> Clustering {
-        match &self.refine {
-            Some(refine) => refine.refiner.refined().clone(),
-            None => self.merged_clustering(),
-        }
-    }
-
-    /// Disassemble the engine into the parts the pipelined front-end's
-    /// coordinator and refine worker own separately while serving — see
-    /// [`crate::pipeline`].  [`ShardedDurableEngine::from_pipeline_parts`]
-    /// reassembles them after drain.
-    pub(crate) fn into_pipeline_parts(self) -> PipelineParts {
-        PipelineParts {
-            shards: self.shards,
-            router: self.router,
-            assignment: self.assignment,
-            rounds_served: self.rounds_served,
-            max_threads: self.max_threads,
-            options: self.options,
-            dir: self.dir,
-            refine: self.refine,
-        }
-    }
-
-    /// Reassemble an engine from the parts a drained pipeline hands back.
-    pub(crate) fn from_pipeline_parts(parts: PipelineParts) -> Self {
-        ShardedDurableEngine {
-            shards: parts.shards,
-            router: parts.router,
-            assignment: parts.assignment,
-            rounds_served: parts.rounds_served,
-            max_threads: parts.max_threads,
-            options: parts.options,
-            dir: parts.dir,
-            refine: parts.refine,
-        }
-    }
-}
-
-/// A [`ShardedDurableEngine`] taken apart for pipelined serving: the
-/// coordinator thread owns the shards, router, assignment, and the refine
-/// WAL/snapshotter, while the refine worker owns the refiner itself (moved
-/// out of [`DurableRefine`] behind a lock by the pipeline).  All fields are
-/// exactly the engine's — nothing is copied.
-pub(crate) struct PipelineParts {
-    pub(crate) shards: Vec<DurableEngine>,
-    pub(crate) router: ShardRouter,
-    pub(crate) assignment: BTreeMap<ObjectId, usize>,
-    pub(crate) rounds_served: usize,
-    pub(crate) max_threads: usize,
-    pub(crate) options: DurabilityOptions,
-    pub(crate) dir: PathBuf,
-    pub(crate) refine: Option<DurableRefine>,
-}
-
-impl std::fmt::Debug for ShardedDurableEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedDurableEngine")
-            .field("dir", &self.dir)
-            .field("shards", &self.shards.len())
-            .field("objects", &self.assignment.len())
-            .field("rounds_served", &self.rounds_served)
-            .finish()
+        &self.log.dir
     }
 }
 

@@ -206,6 +206,91 @@ fn single_shard_pipeline_drains_identically() {
     assert_eq!(recovered.stats(), reference.stats());
 }
 
+/// A pipeline hands its engine back on `close` — refiner included — and the
+/// engine stays reusable: serve pipelined, close, serve one synchronous
+/// round, start a second pipeline, serve the rest, close, drop, reopen.
+/// Checkpoints land in both pipeline sessions and in the synchronous round
+/// between them, and everything matches an all-synchronous reference.
+#[test]
+fn closed_pipeline_engine_serves_sync_rounds_and_restarts() {
+    let workload = small_febrl_workload();
+    let objective: Arc<dyn ObjectiveFunction> = Arc::new(DbIndexObjective);
+    // Halve every serve batch so the fixture yields enough rounds for a
+    // checkpoint in each of the three serving sessions.
+    let rounds: Vec<OperationBatch> = serve_batches(&workload, objective.clone())
+        .iter()
+        .flat_map(|batch| {
+            let ops: Vec<_> = batch.iter().cloned().collect();
+            let (head, tail) = ops.split_at(ops.len() / 2);
+            [head.to_vec(), tail.to_vec()]
+        })
+        .filter(|ops| !ops.is_empty())
+        .map(|ops| {
+            let mut batch = OperationBatch::new();
+            for op in ops {
+                batch.push(op);
+            }
+            batch
+        })
+        .collect();
+    assert!(rounds.len() >= 6, "need rounds for three checkpoints");
+    let (first, rest) = rounds.split_at(3);
+    let (sync_round, second) = rest.split_first().expect("a synchronous round");
+    let options = DurabilityOptions {
+        checkpoint_every_rounds: 2,
+        group_commit: true,
+    };
+
+    let tmp_sync = TempDir::new("sync-handback");
+    let (mut reference, _) = open_engine(tmp_sync.path(), 4, &workload, objective.clone(), options);
+    for batch in &rounds {
+        reference.apply_round(batch).expect("reference round");
+    }
+    let assert_matches_reference = |engine: &ShardedDurableEngine, context: &str| {
+        assert_eq!(
+            engine.rounds_served(),
+            reference.rounds_served(),
+            "{context}"
+        );
+        assert_clusterings_identical(
+            &engine.merged_clustering(),
+            &reference.merged_clustering(),
+            &format!("{context} merged"),
+        );
+        assert_clusterings_identical(
+            &engine.refined_clustering(),
+            &reference.refined_clustering(),
+            &format!("{context} refined"),
+        );
+        assert_eq!(engine.stats(), reference.stats(), "{context}: stats");
+        assert_eq!(
+            engine.shard_comparisons(),
+            reference.shard_comparisons(),
+            "{context}: per-shard similarity work"
+        );
+    };
+
+    let tmp_pipe = TempDir::new("pipe-handback");
+    {
+        let (engine, _) = open_engine(tmp_pipe.path(), 4, &workload, objective.clone(), options);
+        let pipe = PipelinedEngine::start(engine, barrier_options());
+        submit_rounds(&pipe, first);
+        let (mut engine, _) = pipe.close().expect("first close");
+        engine.apply_round(sync_round).expect("synchronous round");
+        let pipe = PipelinedEngine::start(engine, barrier_options());
+        submit_rounds(&pipe, second);
+        let (engine, report) = pipe.close().expect("second close");
+        assert_eq!(report.recorded_batches.as_deref(), Some(second));
+        assert_matches_reference(&engine, "handed back");
+    }
+
+    let (recovered, recovery) = open_engine(tmp_pipe.path(), 4, &workload, objective, options);
+    assert!(recovery.recovered);
+    assert_eq!(recovery.committed_round, rounds.len() as u64);
+    assert_eq!(recovery.rolled_back_rounds, 0, "clean closes lose nothing");
+    assert_matches_reference(&recovered, "reopened");
+}
+
 /// Backpressure never loses or reorders work: a two-slot admission queue
 /// with free-running (adaptive, no barriers) batch formation still commits
 /// every op exactly once, and the recorded rounds replayed synchronously

@@ -382,22 +382,27 @@ fn reopening_with_a_different_shard_count_is_rejected() {
     let tmp = TempDir::new("shard-count");
     let dir = tmp.path();
     {
-        let (graph, previous, _, dynamicc) = trained_setup(&workload, objective.clone());
+        let (graph, previous, serve, dynamicc) = trained_setup(&workload, objective.clone());
         let router = ShardRouter::for_config(N_SHARDS, graph.config());
         let config = graph.config().clone();
-        ShardedDurableEngine::open(dir, router, config, dynamicc, options, move || {
-            (graph, previous)
-        })
-        .unwrap();
+        let (mut engine, _) =
+            ShardedDurableEngine::open(dir, router, config, dynamicc, options, move || {
+                (graph, previous)
+            })
+            .unwrap();
+        engine.apply_round(&serve[0].batch).unwrap();
     }
-    let (graph, previous, _, dynamicc) = trained_setup(&workload, objective);
-    let router = ShardRouter::for_config(2, graph.config());
-    let config = graph.config().clone();
-    let result = ShardedDurableEngine::open(dir, router, config, dynamicc, options, move || {
-        (graph, previous)
-    });
-    assert!(
-        matches!(result, Err(dc_core::StorageError::Inconsistent(_))),
-        "fewer shards than on disk must be rejected, got {result:?}"
-    );
+    for (n_shards, direction) in [(2, "fewer"), (2 * N_SHARDS, "more")] {
+        let (graph, previous, _, dynamicc) = trained_setup(&workload, objective.clone());
+        let router = ShardRouter::for_config(n_shards, graph.config());
+        let config = graph.config().clone();
+        let result =
+            ShardedDurableEngine::open(dir, router, config, dynamicc, options, move || {
+                (graph, previous)
+            });
+        assert!(
+            matches!(result, Err(dc_core::StorageError::Inconsistent(_))),
+            "{direction} shards than on disk must be rejected, got {result:?}"
+        );
+    }
 }
